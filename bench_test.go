@@ -238,7 +238,9 @@ func BenchmarkPairTick(b *testing.B) {
 // BenchmarkCheckpointRestore measures rewinding a warm 8-core system to
 // an in-memory checkpoint, including rebuilding every derived issue-
 // stage structure (active list, waiter chains, rename map) from the
-// authoritative window state.
+// authoritative window state. Nothing runs between restores, so after
+// the first this is the O(touched) fast path with nothing touched: the
+// fixed cost of a rewind.
 func BenchmarkCheckpointRestore(b *testing.B) {
 	w := workload.Apache().Build(1, 4)
 	sys := NewSystem(DefaultConfig(), ModeReunion, w, 1)
@@ -248,6 +250,25 @@ func BenchmarkCheckpointRestore(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		sys.Restore(cp)
+	}
+}
+
+// BenchmarkCheckpointRewind measures the campaign's per-trial rewind: a
+// trial-sized window (3k cycles) runs off the timer, then Restore copies
+// back what it changed.
+func BenchmarkCheckpointRewind(b *testing.B) {
+	w := workload.Apache().Build(1, 4)
+	sys := NewSystem(DefaultConfig(), ModeReunion, w, 1)
+	sys.Prefill()
+	sys.Run(20_000)
+	cp := sys.Snapshot()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		sys.Run(3_000)
+		b.StartTimer()
 		sys.Restore(cp)
 	}
 }

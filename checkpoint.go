@@ -60,10 +60,12 @@ type Checkpoint struct {
 	watchHalted           bool
 }
 
-// Snapshot captures the complete machine state. It is read-only — a run
-// that snapshots and continues is bit-identical to one that never
-// snapshotted — and may be taken at any cycle, including with memory
-// responses, comparison decisions, and interrupt boundaries in flight.
+// Snapshot captures the complete machine state. It leaves the simulated
+// state untouched — a run that snapshots and continues is bit-identical
+// to one that never snapshotted — and may be taken at any cycle,
+// including with memory responses, comparison decisions, and interrupt
+// boundaries in flight. It does make the new checkpoint the rewind
+// baseline (see Restore).
 func (s *System) Snapshot() *Checkpoint {
 	cp := &Checkpoint{
 		owner: s,
@@ -113,6 +115,11 @@ func (s *System) Snapshot() *Checkpoint {
 // same system, rewinding the clock, the pending-event set, and every
 // component to the snapshotted cycle. A checkpoint restores any number
 // of times; each restored run re-executes bit-identically.
+//
+// Restoring the checkpoint the system last equalled (through Snapshot or
+// Restore) copies back only the memory pages and cache sets changed since
+// then; any other checkpoint rewrites everything once and becomes that
+// baseline (DESIGN.md, "Rewind in O(touched)").
 func (s *System) Restore(cp *Checkpoint) {
 	if cp.owner != s {
 		panic("reunion: Restore with a checkpoint from a different System")

@@ -53,6 +53,7 @@ func extractMetrics(data []byte) (schema string, ms []cmpMetric, err error) {
 				Workload string  `json:"workload"`
 				Mode     string  `json:"mode"`
 				Speedup  float64 `json:"speedup"`
+				AllocMB  float64 `json:"reuse_alloc_mb_per_trial"`
 			} `json:"entries"`
 		}
 		if err := json.Unmarshal(data, &rep); err != nil {
@@ -64,6 +65,15 @@ func extractMetrics(data []byte) (schema string, ms []cmpMetric, err error) {
 				Value:        e.Speedup,
 				HigherBetter: true,
 			})
+			// Files written before the allocation field existed carry no
+			// value: no metric, so nothing to gate against yet.
+			if e.AllocMB > 0 {
+				ms = append(ms, cmpMetric{
+					Name:         e.Workload + "/" + e.Mode + " reuse-alloc-MB/trial",
+					Value:        e.AllocMB,
+					HigherBetter: false,
+				})
+			}
 		}
 	case "reunion-bench/ckptstore-fleet/v1":
 		var rep struct {

@@ -131,6 +131,39 @@ func TestCompareSnapshotSchema(t *testing.T) {
 	}
 }
 
+// TestCompareSnapshotAlloc gates the per-trial reuse allocation as
+// lower-is-better: a rewind that reallocates the machine image again is a
+// regression even when the time ratio holds.
+func TestCompareSnapshotAlloc(t *testing.T) {
+	old := `{"schema": "reunion-bench/snapshot-reuse/v1",
+		"entries": [{"workload": "apache", "mode": "reunion", "speedup": 3.0, "reuse_alloc_mb_per_trial": 2.0}]}`
+	bloated := `{"schema": "reunion-bench/snapshot-reuse/v1",
+		"entries": [{"workload": "apache", "mode": "reunion", "speedup": 3.0, "reuse_alloc_mb_per_trial": 40.0}]}`
+	results, _, err := compareTrajectories([]byte(old), []byte(bloated), 0.35)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var flagged []string
+	for _, r := range results {
+		if r.Regression {
+			flagged = append(flagged, r.Name)
+		}
+	}
+	if len(flagged) != 1 || flagged[0] != "apache/reunion reuse-alloc-MB/trial" {
+		t.Fatalf("flagged %v, want [apache/reunion reuse-alloc-MB/trial]", flagged)
+	}
+	// A baseline written before the field existed gates nothing new.
+	legacy := `{"schema": "reunion-bench/snapshot-reuse/v1",
+		"entries": [{"workload": "apache", "mode": "reunion", "speedup": 3.0}]}`
+	results, _, err = compareTrajectories([]byte(legacy), []byte(bloated), 0.35)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 1 || results[0].Regression {
+		t.Fatalf("legacy baseline: %+v, want one ungated speedup entry", results)
+	}
+}
+
 func TestCompareCkptstoreSchema(t *testing.T) {
 	old := `{"schema": "reunion-bench/ckptstore-fleet/v1", "local_seconds": 4.0, "store_seconds": 6.0}`
 	slower := `{"schema": "reunion-bench/ckptstore-fleet/v1", "local_seconds": 4.0, "store_seconds": 7.5}`

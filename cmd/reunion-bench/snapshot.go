@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"runtime"
 	"time"
 
 	"reunion"
@@ -16,9 +17,13 @@ import (
 // trial path with per-trial re-warming from cycle 0 versus snapshot-keyed
 // warm reuse (one warmup per cell, one Restore per trial). Every trial's
 // Result is compared across the two paths — the speedup only counts if
-// classification stays bit-identical. The results go to stdout as a table
-// and to a BENCH_snapshot.json trajectory file, alongside the kernel
-// throughput baseline in BENCH_kernel.json.
+// classification stays bit-identical. Each entry also records the heap
+// bytes one reuse trial allocates (restore plus the measured run); unlike
+// the time ratios this is the same on every machine, so -compare gates it
+// tightly, and a rewind that reallocates the machine image shows up as a
+// many-fold regression. The results go to stdout as a table and to a
+// BENCH_snapshot.json trajectory file, alongside the kernel throughput
+// baseline in BENCH_kernel.json.
 
 type snapshotEntry struct {
 	Workload     string  `json:"workload"`
@@ -28,6 +33,9 @@ type snapshotEntry struct {
 	ReuseSecs    float64 `json:"reuse_seconds"`
 	Speedup      float64 `json:"speedup"`
 	BitIdentical bool    `json:"bit_identical"`
+	// ReuseAllocMB is the mean heap allocation of one reuse trial after
+	// the cell's first (which warms): a Restore plus the measured run.
+	ReuseAllocMB float64 `json:"reuse_alloc_mb_per_trial"`
 }
 
 type snapshotReport struct {
@@ -60,8 +68,8 @@ func runSnapshot(full bool, outPath string) error {
 		CommitTarget: target,
 	}
 	fmt.Println("Fault-campaign trial path: per-trial re-warm vs checkpointed warm reuse")
-	fmt.Printf("  %-12s %-14s %7s %10s %10s %9s %10s\n",
-		"workload", "mode", "trials", "rewarm(s)", "reuse(s)", "speedup", "identical")
+	fmt.Printf("  %-12s %-14s %7s %10s %10s %9s %10s %14s\n",
+		"workload", "mode", "trials", "rewarm(s)", "reuse(s)", "speedup", "identical", "reuse MB/trial")
 
 	var sumRewarm, sumReuse float64
 	for _, cell := range cells {
@@ -85,27 +93,38 @@ func runSnapshot(full bool, outPath string) error {
 			return o
 		}
 
-		runAll := func(warmCache *reunion.WarmCache) ([]reunion.Result, float64, error) {
+		// runAll also returns the mean bytes allocated by trials after the
+		// first, which under warm reuse are pure restore-and-run trials.
+		runAll := func(warmCache *reunion.WarmCache) ([]reunion.Result, float64, float64, error) {
 			results := make([]reunion.Result, trials)
+			var ms runtime.MemStats
+			var allocAfterFirst uint64
 			start := time.Now() //reunion:nondeterm-ok host wall-clock for bench reporting
 			for i := 0; i < trials; i++ {
 				o := trialOpts(i)
 				o.Warm = warmCache
 				r, err := reunion.Run(o)
 				if err != nil {
-					return nil, 0, fmt.Errorf("%s/%v trial %d: %w", cell.p.Name, cell.mode, i, err)
+					return nil, 0, 0, fmt.Errorf("%s/%v trial %d: %w", cell.p.Name, cell.mode, i, err)
 				}
 				results[i] = r
+				if i == 0 {
+					runtime.ReadMemStats(&ms)
+					allocAfterFirst = ms.TotalAlloc
+				}
 			}
 			//reunion:nondeterm-ok host wall-clock for bench reporting
-			return results, time.Since(start).Seconds(), nil
+			secs := time.Since(start).Seconds()
+			runtime.ReadMemStats(&ms)
+			perTrial := float64(ms.TotalAlloc-allocAfterFirst) / float64(trials-1) / (1 << 20)
+			return results, secs, perTrial, nil
 		}
 
-		rewarmRes, rewarmSecs, err := runAll(nil)
+		rewarmRes, rewarmSecs, _, err := runAll(nil)
 		if err != nil {
 			return err
 		}
-		reuseRes, reuseSecs, err := runAll(reunion.NewWarmCache())
+		reuseRes, reuseSecs, reuseAlloc, err := runAll(reunion.NewWarmCache())
 		if err != nil {
 			return err
 		}
@@ -118,12 +137,13 @@ func runSnapshot(full bool, outPath string) error {
 			Workload: cell.p.Name, Mode: cell.mode.String(), Trials: trials,
 			RewarmSecs: rewarmSecs, ReuseSecs: reuseSecs,
 			Speedup: rewarmSecs / reuseSecs, BitIdentical: identical,
+			ReuseAllocMB: reuseAlloc,
 		}
 		rep.Entries = append(rep.Entries, e)
 		sumRewarm += rewarmSecs
 		sumReuse += reuseSecs
-		fmt.Printf("  %-12s %-14s %7d %10.3f %10.3f %8.2fx %10v\n",
-			e.Workload, e.Mode, e.Trials, e.RewarmSecs, e.ReuseSecs, e.Speedup, e.BitIdentical)
+		fmt.Printf("  %-12s %-14s %7d %10.3f %10.3f %8.2fx %10v %14.2f\n",
+			e.Workload, e.Mode, e.Trials, e.RewarmSecs, e.ReuseSecs, e.Speedup, e.BitIdentical, e.ReuseAllocMB)
 	}
 	rep.TotalSpeedup = sumRewarm / sumReuse
 	fmt.Printf("  total: %.3fs re-warm vs %.3fs reuse — %.2fx\n", sumRewarm, sumReuse, rep.TotalSpeedup)

@@ -10,6 +10,9 @@
 package cache
 
 import (
+	"math/bits"
+	"sync/atomic"
+
 	"reunion/internal/mem"
 )
 
@@ -59,6 +62,15 @@ type Array struct {
 	setMask uint64
 	ways    int
 	tick    int64
+
+	// Rewind tracking. base is the generation of the ArrayState the
+	// array last equalled (0: none); touched has one bit per set that
+	// may have changed since then, so restoring that same state rewrites
+	// only those sets. Every *Line a caller can mutate comes from set or
+	// ForEachValid, which mark the set it lies in; no caller keeps a
+	// *Line across cycles.
+	base    uint64   //reunion:derived
+	touched []uint64 //reunion:derived
 }
 
 // NewArray builds an array with the given total capacity in bytes and
@@ -75,7 +87,10 @@ func NewArray(capacityBytes, ways int) *Array {
 	for i := range sets {
 		sets[i], backing = backing[:ways:ways], backing[ways:]
 	}
-	return &Array{sets: sets, setMask: uint64(numSets - 1), ways: ways}
+	return &Array{
+		sets: sets, setMask: uint64(numSets - 1), ways: ways,
+		touched: make([]uint64, (numSets+63)/64),
+	}
 }
 
 // Sets returns the number of sets.
@@ -84,8 +99,12 @@ func (a *Array) Sets() int { return len(a.sets) }
 // Ways returns the associativity.
 func (a *Array) Ways() int { return a.ways }
 
+// set returns block's set and marks it touched: every line access goes
+// through here, so this is the one place rewind tracking must see.
 func (a *Array) set(block uint64) []Line {
-	return a.sets[(block>>mem.BlockShift)&a.setMask]
+	si := (block >> mem.BlockShift) & a.setMask
+	a.touched[si/64] |= 1 << (si % 64)
+	return a.sets[si]
 }
 
 // Lookup returns the line holding block, touching LRU, or nil on miss.
@@ -199,11 +218,13 @@ func (a *Array) Downgrade(block uint64) (prior Line, ok, busy bool) {
 	return prior, true, false
 }
 
-// ForEachValid calls fn for every valid line (stats, warmup checks).
+// ForEachValid calls fn for every valid line (stats, warmup checks). fn
+// may mutate the line, so each set it visits is marked touched.
 func (a *Array) ForEachValid(fn func(*Line)) {
 	for s := range a.sets {
 		for w := range a.sets[s] {
 			if a.sets[s][w].State != Invalid {
+				a.touched[s/64] |= 1 << (s % 64)
 				fn(&a.sets[s][w])
 			}
 		}
@@ -211,19 +232,41 @@ func (a *Array) ForEachValid(fn func(*Line)) {
 }
 
 // ArrayState is a checkpoint of the array: the LRU clock and a sparse
-// copy of the valid lines (flat index = set*ways + way). Invalid lines
-// carry no state the replacement policy or lookups can observe, so only
-// valid lines are stored — which keeps a checkpoint of a mostly-empty
-// shared cache small.
+// copy of the valid lines (flat index = set*ways + way, ascending).
+// Invalid lines carry no state the replacement policy or lookups can
+// observe, so only valid lines are stored — which keeps a checkpoint of a
+// mostly-empty shared cache small.
 type ArrayState struct {
 	tick  int64
 	idx   []int32
 	lines []Line
+	// gen identifies this state for Restore's baseline check: a
+	// process-wide counter value, not a pointer, so an array never keeps
+	// a discarded checkpoint reachable. A decoded state has none until
+	// its first Restore stamps one.
+	gen uint64 //reunion:derived
 }
 
-// Snapshot captures the array contents. Read-only.
+// gens issues the generations stamped into ArrayStates; 0 is never
+// issued, so it means "none".
+var gens atomic.Uint64
+
+// Snapshot captures the array contents. The contents are unchanged, but
+// the snapshot becomes the array's rewind baseline (see Restore).
 func (a *Array) Snapshot() ArrayState {
-	s := ArrayState{tick: a.tick}
+	n := 0
+	for si := range a.sets {
+		for wi := range a.sets[si] {
+			if a.sets[si][wi].State != Invalid {
+				n++
+			}
+		}
+	}
+	s := ArrayState{tick: a.tick, gen: gens.Add(1)}
+	if n > 0 {
+		s.idx = make([]int32, 0, n)
+		s.lines = make([]Line, 0, n)
+	}
 	flat := int32(0)
 	for si := range a.sets {
 		for wi := range a.sets[si] {
@@ -234,6 +277,8 @@ func (a *Array) Snapshot() ArrayState {
 			flat++
 		}
 	}
+	clear(a.touched)
+	a.base = s.gen
 	return s
 }
 
@@ -241,14 +286,53 @@ func (a *Array) Snapshot() ArrayState {
 // then the snapshotted valid lines are written back into their exact
 // ways. The backing storage is reused, so *Line pointers taken before the
 // snapshot keep pointing at the restored lines.
-func (a *Array) Restore(s ArrayState) {
+//
+// Restoring the array's baseline — the state it last equalled through
+// Snapshot or Restore — rewrites only the sets touched since then and
+// allocates nothing. Any other state rewrites every set and becomes the
+// new baseline.
+func (a *Array) Restore(s *ArrayState) {
 	a.tick = s.tick
-	for si := range a.sets {
-		for wi := range a.sets[si] {
-			a.sets[si][wi] = Line{}
+	if s.gen == 0 {
+		s.gen = gens.Add(1)
+	}
+	if s.gen != a.base {
+		for si := range a.sets {
+			clear(a.sets[si])
+		}
+		for i, flat := range s.idx {
+			a.sets[int(flat)/a.ways][int(flat)%a.ways] = s.lines[i]
+		}
+		clear(a.touched)
+		a.base = s.gen
+		return
+	}
+	for wi, word := range a.touched {
+		for ; word != 0; word &= word - 1 {
+			si := wi*64 + bits.TrailingZeros64(word)
+			a.restoreSet(s, si)
+		}
+		a.touched[wi] = 0
+	}
+}
+
+// restoreSet rewrites set si from s: its ways are cleared, then the
+// snapshotted lines of the set (a contiguous run of s.idx) are copied in.
+func (a *Array) restoreSet(s *ArrayState, si int) {
+	set := a.sets[si]
+	clear(set)
+	lo := int32(si * a.ways)
+	// First position in s.idx at or past the set's first way.
+	i, j := 0, len(s.idx)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if s.idx[h] < lo {
+			i = h + 1
+		} else {
+			j = h
 		}
 	}
-	for i, flat := range s.idx {
-		a.sets[int(flat)/a.ways][int(flat)%a.ways] = s.lines[i]
+	for ; i < len(s.idx) && s.idx[i] < lo+int32(a.ways); i++ {
+		set[s.idx[i]-lo] = s.lines[i]
 	}
 }

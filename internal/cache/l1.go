@@ -594,7 +594,7 @@ func (c *L1) Snapshot() *L1State {
 // by pointer, but identity costs nothing to preserve); waiter slices are
 // copied out so post-restore appends never touch the snapshot.
 func (c *L1) Restore(s *L1State) {
-	c.Arr.Restore(s.arr)
+	c.Arr.Restore(&s.arr)
 	copy(c.mshrs, s.mshrs)
 	for i := range c.mshrs {
 		c.mshrs[i].waiters = append([]mshrWaiter(nil), s.mshrs[i].waiters...)

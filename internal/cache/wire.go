@@ -204,9 +204,12 @@ func (s *ArrayState) Encode(w *bin.Writer) {
 
 // DecodeArrayState reads an array snapshot written by Encode.
 func DecodeArrayState(r *bin.Reader) ArrayState {
-	var s ArrayState
-	s.tick = r.I64()
+	s := ArrayState{tick: r.I64()}
 	n := r.Len(4 + lineWireBytes)
+	if n > 0 {
+		s.idx = make([]int32, 0, n)
+		s.lines = make([]Line, 0, n)
+	}
 	for i := 0; i < n; i++ {
 		flat := int32(r.U32())
 		line := decodeLine(r)

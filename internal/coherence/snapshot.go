@@ -49,7 +49,7 @@ func (l2 *L2) Restore(s *L2State) {
 	banks, l1d := l2.banks, l2.l1d
 	*l2 = s.l2
 	l2.banks, l2.l1d = banks, l1d
-	l2.arr.Restore(s.arr)
+	l2.arr.Restore(&s.arr)
 	l2.dir = make(map[uint64]*dirEntry, len(s.dir))
 	for b, d := range s.dir {
 		cp := d

@@ -64,13 +64,23 @@ func (c *Core) Snapshot() *CoreState {
 // callbacks held by the restored L1 MSHRs (and by pending events) capture
 // only ROB indices, seq/epoch guard values, and the core pointer itself,
 // so they remain valid against the restored window.
+//
+// The window slices are copied into the live backing arrays, and the
+// derived issue-stage slices are rebuilt in theirs, so a rewind allocates
+// only when a snapshotted slice outgrew its live counterpart. The live
+// slices never alias the snapshot's: Snapshot copied them out.
 func (c *Core) Restore(s *CoreState) {
+	fq, rob, inExec, sb, serQ := c.fq, c.rob, c.inExec, c.sb, c.serQ
+	active, waiterHead, wakeBuf := c.active, c.waiterHead, c.wakeBuf
+	wNext, wPrev, wProd := c.wNext, c.wPrev, c.wProd
 	*c = s.core
-	c.fq = append([]fqSlot(nil), s.core.fq...)
-	c.rob = append([]Entry(nil), s.core.rob...)
-	c.inExec = append([]int(nil), s.core.inExec...)
-	c.sb = append([]sbEntry(nil), s.core.sb...)
-	c.serQ = append([]int64(nil), s.core.serQ...)
+	c.fq = append(fq[:0], s.core.fq...)
+	c.rob = append(rob[:0], s.core.rob...)
+	c.inExec = append(inExec[:0], s.core.inExec...)
+	c.sb = append(sb[:0], s.core.sb...)
+	c.serQ = append(serQ[:0], s.core.serQ...)
+	c.active, c.waiterHead, c.wakeBuf = active, waiterHead, wakeBuf
+	c.wNext, c.wPrev, c.wProd = wNext, wPrev, wProd
 	c.rebuildDerived()
 	c.L1D.Restore(s.l1d)
 	c.L1I.Restore(s.l1i)

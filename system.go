@@ -69,6 +69,7 @@ type System struct {
 	Bus    *snoop.Bus    // snoopy topology (nil under TopologyDirectory)
 	msys   memorySystem
 	Cores  []*cpu.Core
+	vocal  []*cpu.Core  // VocalCores, built once by NewSystem
 	Pairs  []*core.Pair // ModeReunion only
 	W      *workload.Workload
 
@@ -175,6 +176,11 @@ func NewSystem(cfg Config, mode Mode, w *workload.Workload, seed uint64) *System
 		}
 	default:
 		panic("reunion: unknown mode")
+	}
+	for _, c := range s.Cores {
+		if c.Vocal {
+			s.vocal = append(s.vocal, c)
+		}
 	}
 	// Kernel tick order: memory system, pair gates, cores — the order the
 	// original per-cycle loop used. Registration order is the per-cycle
@@ -534,13 +540,7 @@ func (s *System) ArchDigest() uint64 {
 }
 
 // VocalCores returns the cores whose retirement defines each logical
-// processor's architectural progress (all cores outside ModeReunion).
-func (s *System) VocalCores() []*cpu.Core {
-	var v []*cpu.Core
-	for _, c := range s.Cores {
-		if c.Vocal {
-			v = append(v, c)
-		}
-	}
-	return v
-}
+// processor's architectural progress (all cores outside ModeReunion). The
+// slice is the system's own, built once by NewSystem, so the per-step
+// callers (DigestsDone) allocate nothing; callers must not modify it.
+func (s *System) VocalCores() []*cpu.Core { return s.vocal }
